@@ -1,0 +1,14 @@
+"""Make ``perfbench`` and the simulator importable for these tests.
+
+Run them from the repository root with
+``python3 -m pytest perfbench/tests -q``.
+"""
+
+import os
+import sys
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
