@@ -41,8 +41,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.aging.report import SCHEMA
+from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
-from repro.device.nvdimmc import NVDIMMCSystem
+from repro.device.nvdimmc import (NVDIMMCSystem, capture_without_logs,
+                                 restore_with_logs)
 from repro.errors import ConfigError, FailStopError, MediaError
 from repro.health.monitor import HealthPolicy
 from repro.nand.ecc import AgingParams
@@ -294,19 +296,12 @@ class AgingResult:
         return curve
 
     def time_to_read_only(self, strategy: str) -> dict[str, int]:
-        reached = sorted(s.read_only_epoch
-                         for s in self.by_strategy(strategy)
-                         if s.read_only_epoch > 0)
+        reached = [s.read_only_epoch for s in self.by_strategy(strategy)
+                   if s.read_only_epoch > 0]
         total = len(self.by_strategy(strategy))
-
-        def pct(fraction: float) -> int:
-            if not reached:
-                return 0
-            index = min(len(reached) - 1, int(fraction * len(reached)))
-            return reached[index]
-
         return {"reached": len(reached), "censored": total - len(reached),
-                "p50_epochs": pct(0.50), "p90_epochs": pct(0.90)}
+                "p50_epochs": order_statistic(reached, 0.50),
+                "p90_epochs": order_statistic(reached, 0.90)}
 
     def ladder_histogram(self) -> dict[str, int]:
         histogram: dict[str, int] = {}
@@ -342,6 +337,25 @@ class AgingResult:
     def ok(self) -> bool:
         return (self.zero_loss and self.sanitizers_quiet
                 and self.graceful_order and self.leveling_beats_greedy)
+
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        lines = []
+        if not self.zero_loss:
+            lost = sum(s.data_loss for s in self.shards)
+            lines.append(f"aging FAILED: {lost} pages lost")
+        if not self.sanitizers_quiet:
+            lines.append(f"aging FAILED: {self.violations} sanitizer "
+                         "violations")
+        if not self.graceful_order:
+            bad = [f"{s.strategy}/{s.shard}" for s in self.shards
+                   if not s.graceful]
+            lines.append(f"aging FAILED: shards {bad} fail-stopped before "
+                         "read_only (degradation out of order)")
+        if not self.leveling_beats_greedy:
+            lines.append("aging FAILED: wear leveling did not beat the "
+                         "greedy baseline's wear spread")
+        return lines
 
     # -- serialisation -------------------------------------------------------------
 
@@ -607,35 +621,6 @@ def _census(outcome: ShardOutcome, system: NVDIMMCSystem,
     outcome.epoch_log.append(log)
 
 
-def _capture_state(state: dict) -> SimSnapshot:
-    """Capture a shard's full root set, log-swap trick included.
-
-    Mirrors ``soak._capture_prefix``: the tracer records and NVMC logs
-    are swapped out so the capture holds the simulation state, not the
-    observation history, then swapped back onto whichever graph keeps
-    running.
-    """
-    tracer = state["tracer"]
-    nvmc = state["system"].nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(state, label="aging-epoch")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
-
-
-def _adopt(snap: SimSnapshot, logs: tuple) -> dict:
-    """Restore a capture and transplant the live logs onto the clone."""
-    state = snap.restore()
-    tracer = state["tracer"]
-    nvmc = state["system"].nvmc
-    tracer.records, nvmc.operations, nvmc.fsm.history = logs
-    return state
-
-
 def _age_shard(config: AgingConfig, outcome: ShardOutcome,
                state: dict) -> dict:
     """Run one shard's epochs to read-only or the epoch budget.
@@ -666,11 +651,8 @@ def _age_shard(config: AgingConfig, outcome: ShardOutcome,
             t = leg.verify(t, log)
         state["t"] = t
         if config.snapshot:
-            tracer = state["tracer"]
-            nvmc = system.nvmc
-            snap = _capture_state(state)
-            state = _adopt(snap, (tracer.records, nvmc.operations,
-                                  nvmc.fsm.history))
+            snap = capture_without_logs(state, label="aging-epoch")
+            state = restore_with_logs(snap, state)
             system = state["system"]
         with use_tracer(state["tracer"]):
             log.retired_free_blocks = _fast_forward(
@@ -735,9 +717,10 @@ def run_aging(config: AgingConfig,
                 with suite.attach(tracer):
                     system, leg, t = _strategy_prefix(
                         config, strategy, tracer)
-                    snap = _capture_state(
+                    snap = capture_without_logs(
                         {"system": system, "leg": leg, "tracer": tracer,
-                         "suite": suite, "rng": None, "t": t})
+                         "suite": suite, "rng": None, "t": t},
+                        label="aging-epoch")
             result.violations += len(suite.violations)
             for shard in range(config.shard_count):
                 outcome = _shard_outcome(config, strategy, shard)

@@ -1,11 +1,8 @@
 """The schema-pinned ``AGING_*.json`` endurance-campaign report.
 
 Mirrors :mod:`repro.health.report`: :data:`SCHEMA` names the pinned
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline (byte-identical for identical campaign results — the
-wall-clock timestamp is the *only* non-deterministic field, injected by
-the caller so tests can omit it), and :func:`validate_report` checks a
-parsed report against the pinned shape.
+revision and :func:`validate_report` checks a parsed report against the
+pinned shape; :func:`repro.report.render_report` serialises it.
 
 The report carries the whole fleet's life stories — per-shard epoch
 logs and ladder transitions, per-strategy survival curves, wear-spread
@@ -16,7 +13,6 @@ acceptance gate is checkable from the artifact alone.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.report import (require_bool, require_exact_keys,
@@ -70,17 +66,6 @@ _EPOCH_COUNTERS = (
     "data_loss", "retired_free_blocks", "relocations",
     "grown_bad_blocks", "bad_blocks", "free_blocks", "max_erase",
     "mean_erase_x1000", "wear_spread_x1000")
-
-
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise an :class:`~repro.aging.campaign.AgingResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check_shard(shard: dict, where: str, problems: list[str]) -> None:

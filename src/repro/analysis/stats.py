@@ -5,6 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def order_statistic(samples: list[int], fraction: float) -> int:
+    """The ``int(fraction * n)``-th smallest sample, 0 for no samples.
+
+    Never interpolated, so integer samples give integer percentiles and
+    the harness reports stay byte-deterministic.  (The experiments'
+    :meth:`LatencyAccumulator.percentile_ps` is nearest-rank instead.)
+    """
+    if not samples:
+        return 0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
 class LatencyAccumulator:
     """Collects per-op latencies (ps) and answers summary queries."""
 

@@ -177,15 +177,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return status
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``check`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro check")
-    else:
-        parser = sub_or_none.add_parser(
-            "check", help="sanitizers, lint and whole-program static "
-                          "analysis")
+def register(sub: "argparse._SubParsersAction") -> None:
+    """Register the ``check`` command under the ``repro`` CLI."""
+    parser = sub.add_parser(
+        "check", help="sanitizers, lint and whole-program static analysis")
     parser.add_argument("--static", action="store_true",
                         help="run the whole-program static pass "
                              "(registry cross-checks, REPRO006-012)")
@@ -206,14 +201,14 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                         help="write the extracted hook/trace registry "
                              "as markdown to FILE")
     parser.set_defaults(fn=_cmd_check_default)
-    sub = parser.add_subparsers(dest="check_command", required=False)
+    commands = parser.add_subparsers(dest="check_command", required=False)
 
-    p_lint = sub.add_parser("lint", help="AST invariant passes")
+    p_lint = commands.add_parser("lint", help="AST invariant passes")
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories (default: src/repro)")
     p_lint.set_defaults(fn=cmd_lint)
 
-    p_run = sub.add_parser("run", help="sanitized experiment run")
+    p_run = commands.add_parser("run", help="sanitized experiment run")
     p_run.add_argument("--sanitize", dest="experiments", action="append",
                        required=True, metavar="EXPERIMENT",
                        help="experiment id to run (repeatable)")
@@ -223,14 +218,3 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                        help="raise at the first violation instead of "
                             "collecting a report")
     p_run.set_defaults(fn=cmd_run)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -43,6 +43,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 
@@ -167,18 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--iterations", type=int, default=3)
     p_val.set_defaults(fn=_cmd_validate)
 
-    from repro.check.cli import build_parser as build_check_parser
-    build_check_parser(sub)
-    from repro.faults.cli import build_parser as build_faults_parser
-    build_faults_parser(sub)
-    from repro.health.cli import build_parser as build_soak_parser
-    build_soak_parser(sub)
-    from repro.recovery.cli import build_parser as build_crash_parser
-    build_crash_parser(sub)
-    from repro.fleet.cli import build_parser as build_fleet_parser
-    build_fleet_parser(sub)
-    from repro.aging.cli import build_parser as build_age_parser
-    build_age_parser(sub)
+    for package in ("check", "faults", "health", "recovery", "fleet",
+                    "aging"):
+        importlib.import_module(f"repro.{package}.cli").register(sub)
     return parser
 
 

@@ -28,7 +28,7 @@ from repro.health.monitor import HealthMonitor, HealthPolicy
 from repro.health.scrub import PatrolScrubber, ScrubConfig
 from repro.kernel.memmap import ReservedRegion
 from repro.kernel.nvdc import NvdcDriver
-from repro.sim.snapshot import SnapshotMixin
+from repro.sim.snapshot import SimSnapshot, SnapshotMixin
 from repro.kernel.pmem import PmemDriver
 from repro.nand.controller import NANDController
 from repro.nand.spec import ZNANDSpec
@@ -235,6 +235,48 @@ class NVDIMMCSystem(DaxSystem):
                                         monitor=monitor,
                                         config=self.scrubber.config)
         return fresh
+
+
+def _observation_logs(roots: dict) -> tuple[list, list, list]:
+    nvmc = roots["system"].nvmc
+    return roots["tracer"].records, nvmc.operations, nvmc.fsm.history
+
+
+def _set_observation_logs(roots: dict, logs: tuple[list, list, list]
+                          ) -> None:
+    nvmc = roots["system"].nvmc
+    roots["tracer"].records, nvmc.operations, nvmc.fsm.history = logs
+
+
+def capture_without_logs(roots: dict, **kwargs) -> SimSnapshot:
+    """Capture a harness root set minus its append-only observation logs.
+
+    ``roots`` must hold the ``system`` (an :class:`NVDIMMCSystem`) and
+    its ``tracer``.  The retained trace records, the NVMC's per-command
+    :class:`~repro.nvmc.nvmc.OperationResult` list and the FSM
+    transition history are swapped out for the dump and back afterwards:
+    no harness report reads them, forks resume with empty logs, and the
+    blob shrinks by the size of the prefix history.  Sanitizer
+    observation state and the live FSM *state* stay in — those feed
+    post-fork behaviour.  ``kwargs`` go to :meth:`SimSnapshot.capture`.
+    """
+    saved = _observation_logs(roots)
+    _set_observation_logs(roots, ([], [], []))
+    try:
+        return SimSnapshot.capture(roots, **kwargs)
+    finally:
+        _set_observation_logs(roots, saved)
+
+
+def restore_with_logs(snap: SimSnapshot, live: dict) -> dict:
+    """Restore ``snap``, moving ``live``'s observation logs onto the clone.
+
+    For a run that continues on the restored graph: the logs keep
+    accumulating as if the capture never happened.
+    """
+    state = snap.restore()
+    _set_observation_logs(state, _observation_logs(live))
+    return state
 
 
 class PmemSystem(DaxSystem):

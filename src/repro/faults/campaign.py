@@ -45,6 +45,9 @@ FOOTPRINT_PAGES = 320
 _CACHE_BYTES = kb(512)
 _DEVICE_BYTES = mb(8)
 
+#: Per-cell tracer retention bound (records).
+TRACE_CAPACITY = 400_000
+
 
 @dataclass
 class CellResult:
@@ -90,6 +93,10 @@ class CampaignResult:
     def ok(self) -> bool:
         return all(cell.ok for cell in self.cells)
 
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        return [] if self.ok else ["campaign FAILED: see cells above"]
+
     def totals(self) -> dict[str, int]:
         return {
             "cells": len(self.cells),
@@ -132,7 +139,6 @@ def cell_seed_for(seed: int, fault: str, workload: str) -> int:
 
 
 def run_campaign(seed: int = 0, quick: bool = False,
-                 capacity: int = 400_000,
                  progress: Callable[[CellResult], None] | None = None,
                  only: list[str] | None = None) -> CampaignResult:
     """Execute the matrix; each cell under its own sanitized tracer.
@@ -150,7 +156,7 @@ def run_campaign(seed: int = 0, quick: bool = False,
             continue
         injector = INJECTORS[fault_name]
         cseed = cell_seed_for(seed, fault_name, workload_name)
-        tracer = Tracer(enabled=True, capacity=capacity)
+        tracer = Tracer(enabled=True, capacity=TRACE_CAPACITY)
         suite = default_suite(strict=False)
         with use_tracer(tracer):
             with suite.attach(tracer):

@@ -14,16 +14,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.faults.campaign import CellResult, run_campaign
     from repro.faults.injectors import injector_names
-    from repro.faults.report import render_report, validate_report
+    from repro.report import gate, write_report
 
     def progress(cell: CellResult) -> None:
         flag = "ok" if cell.ok else "FAIL"
@@ -46,31 +43,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"repro faults run: {mode} matrix, seed {args.seed}"
           + (f", only {','.join(only)}" if only else ""))
     result = run_campaign(seed=args.seed, quick=args.quick,
-                          capacity=args.capacity, progress=progress,
-                          only=only)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a cell failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"FAULTS_{timestamp}.json"
-    path.write_text(payload)
+                          progress=progress, only=only)
+    status = write_report(result, args.out)
+    if status:
+        return status
     totals = result.totals()
-    print(f"wrote {path}")
     print(f"cells={totals['cells']} injected={totals['injected']} "
           f"detected={totals['detected']} recovered={totals['recovered']} "
           f"lost={totals['lost']} violations={totals['violations']} "
           f"failed={totals['failed_cells']}")
-    if not result.ok:
-        print("campaign FAILED: see cells above", file=sys.stderr)
-        return 1
-    print("campaign clean: every recoverable cell recovered, "
-          "all sanitizers quiet")
-    return 0
+    return gate(result, "campaign clean: every recoverable cell recovered, "
+                "all sanitizers quiet")
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -83,41 +66,19 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``faults`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro faults")
-        sub = parser.add_subparsers(dest="faults_command", required=True)
-    else:
-        parser = sub_or_none.add_parser(
-            "faults", help="fault-injection campaigns")
-        sub = parser.add_subparsers(dest="faults_command", required=True)
+def register(sub: "argparse._SubParsersAction") -> None:
+    """Register the ``faults`` command under the ``repro`` CLI."""
+    from repro.report import add_harness_flags
+    parser = sub.add_parser("faults", help="fault-injection campaigns")
+    commands = parser.add_subparsers(dest="faults_command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the campaign matrix")
-    p_run.add_argument("--quick", action="store_true",
-                       help="3x2 smoke matrix instead of the full one")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="campaign seed (default 0)")
-    p_run.add_argument("--out", default="results",
-                       help="directory for FAULTS_<timestamp>.json")
-    p_run.add_argument("--capacity", type=int, default=400_000,
-                       help="per-cell tracer retention bound (records)")
+    p_run = commands.add_parser("run", help="execute the campaign matrix")
+    add_harness_flags(p_run, "FAULTS",
+                      "3x2 smoke matrix instead of the full one")
     p_run.add_argument("--only", default=None, metavar="ID[,ID...]",
                        help="run only the named faults (see 'faults list'; "
                             "cell seeds are unchanged)")
     p_run.set_defaults(fn=cmd_run)
 
-    p_list = sub.add_parser("list", help="print the injector registry")
+    p_list = commands.add_parser("list", help="print the injector registry")
     p_list.set_defaults(fn=cmd_list)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

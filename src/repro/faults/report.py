@@ -2,12 +2,10 @@
 
 The report is the artifact CI archives and the determinism acceptance
 check diffs, so its shape is pinned: :data:`SCHEMA` names the current
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline (byte-identical for identical campaign results — the
-wall-clock timestamp is the *only* non-deterministic field, and it is
-injected by the caller so tests can omit it), and
-:func:`validate_report` checks a parsed report against the pinned
-shape.
+revision and :func:`validate_report` checks a parsed report against the
+pinned shape.  :func:`repro.report.render_report` serialises it
+(byte-identical for identical campaign results — the wall-clock
+``generated_at`` is the *only* non-deterministic field).
 
 Count semantics per cell:
 
@@ -28,7 +26,6 @@ Count semantics per cell:
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.report import (require_exact_keys, require_nonneg_ints,
@@ -45,17 +42,6 @@ _CELL_KEYS = frozenset(
 _TOTAL_KEYS = frozenset(
     {"cells", "failed_cells", "injected", "detected", "recovered",
      "lost", "violations"})
-
-
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise a :class:`~repro.faults.campaign.CampaignResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _detail(payload: dict, problems: list[str]) -> None:

@@ -49,6 +49,7 @@ from repro.device.power import PowerFailureModel
 from repro.errors import (ConfigError, FailStopError, MediaError,
                           PowerLossInterrupt)
 from repro.faults.clock import FaultClock
+from repro.fleet.chaos_report import chaos_payload
 from repro.fleet.frontend import Fleet, FleetConfig, collect_fan_out
 from repro.fleet.qos import TenantQoS
 from repro.fleet.shard import (
@@ -735,6 +736,29 @@ class ChaosResult:
         return (self.data_loss == 0 and self.violations == 0
                 and self.demonstrated
                 and all(view.ok for view in self.tenants))
+
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        lines = []
+        if self.data_loss:
+            lines.append(f"chaos FAILED: {self.data_loss} committed pages "
+                         "lost")
+        if self.violations:
+            lines.append(f"chaos FAILED: {self.violations} sanitizer "
+                         "violations")
+        if not self.demonstrated:
+            lines.append("chaos FAILED: no shard was driven out of the "
+                         "write path and fully evacuated (the campaign "
+                         "proved nothing)")
+        for view in self.tenants:
+            if not view.ok:
+                lines.append(f"chaos FAILED: tenant {view.spec.name} "
+                             f"availability {view.success_ppm} ppm below "
+                             f"the chaos SLO {view.chaos_slo_ppm} ppm")
+        return lines
+
+    def to_dict(self) -> dict:
+        return chaos_payload(self)
 
 
 def _execute(plans: list[ChaosShardPlan], snapshot: SimSnapshot,

@@ -1,10 +1,9 @@
 """The schema-pinned ``CHAOS_*.json`` chaos-campaign report.
 
 Same contract as the fleet/faults/soak reports: :data:`SCHEMA` pins the
-shape, :func:`render_report` serialises with sorted keys and a trailing
-newline (``generated_at`` is the only non-deterministic field — pass
-``timestamp=None`` for byte-stable output), :func:`validate_report`
-checks a parsed report via the shared
+shape, :func:`chaos_payload` builds the body that
+:func:`repro.report.render_report` serialises, and
+:func:`validate_report` checks a parsed report via the shared
 :func:`repro.report.validate_schema_report` skeleton.
 
 The report is the campaign's acceptance artifact, organised so every
@@ -26,7 +25,6 @@ gate can be audited from the JSON alone:
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from repro.health.monitor import HealthState
@@ -208,18 +206,6 @@ def chaos_payload(result: "ChaosResult") -> dict:
         },
         "ok": result.ok,
     }
-
-
-def render_report(result: "ChaosResult",
-                  timestamp: str | None = None) -> str:
-    """Serialise a :class:`~repro.fleet.chaos.ChaosResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = chaos_payload(result)
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check_latency(problems: list[str], owner: dict,

@@ -16,16 +16,13 @@ roster.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError
     from repro.fleet.frontend import Fleet, FleetConfig
-    from repro.fleet.report import render_report, validate_report
+    from repro.report import gate, write_report
     from repro.util import resolve_jobs
 
     try:
@@ -45,18 +42,9 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"placement {config.placement}, seed {config.seed}, "
           f"jobs {config.jobs}")
     result = Fleet(config).run()
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a fleet failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"FLEET_{timestamp}.json"
-    path.write_text(payload)
-    print(f"wrote {path}")
+    status = write_report(result, args.out)
+    if status:
+        return status
     for qos in result.tenants:
         latency = qos.latency_summary()
         gates = qos.slo_evaluation()
@@ -69,30 +57,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     histogram = result.health_histogram
     print("  health: " + " ".join(
         f"{state}={count}" for state, count in sorted(histogram.items())))
-    if not result.ok:
-        if result.data_loss:
-            print(f"fleet FAILED: {result.data_loss} pages lost",
-                  file=sys.stderr)
-        if result.violations:
-            print(f"fleet FAILED: {result.violations} sanitizer "
-                  "violations", file=sys.stderr)
-        for qos in result.tenants:
-            gates = qos.slo_evaluation()
-            if not gates["ok"]:
-                missed = [g for g in ("p50", "p99", "p999", "admit")
-                          if not gates[g]]
-                print(f"fleet FAILED: tenant {qos.spec.name} missed "
-                      f"SLO gates {missed}", file=sys.stderr)
-        return 1
-    print("fleet clean: zero data loss, sanitizers quiet, "
-          "all tenant SLOs met")
-    return 0
+    return gate(result, "fleet clean: zero data loss, sanitizers quiet, "
+                "all tenant SLOs met")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError
     from repro.fleet.chaos import ChaosConfig, run_chaos
-    from repro.fleet.chaos_report import render_report, validate_report
+    from repro.report import gate, write_report
     from repro.util import resolve_jobs
 
     try:
@@ -109,18 +81,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"{config.request_count} requests, seed {config.seed}, "
           f"jobs {config.jobs}")
     result = run_chaos(config)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a chaos failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"CHAOS_{timestamp}.json"
-    path.write_text(payload)
-    print(f"wrote {path}")
+    status = write_report(result, args.out)
+    if status:
+        return status
     roles = result.roles
     print(f"  plan: kill shard {roles.kill_shard}, hedge target "
           f"{roles.hedge_target}, {result.hedged_writes} hedged writes")
@@ -143,29 +106,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               f"success={view.success_ppm / 10_000:.2f}% "
               f"(chaos slo {view.chaos_slo_ppm / 10_000:.2f}%) "
               f"rescued={view.rescued}  {verdict}")
-    if not result.ok:
-        if result.data_loss:
-            print(f"chaos FAILED: {result.data_loss} committed pages "
-                  "lost", file=sys.stderr)
-        if result.violations:
-            print(f"chaos FAILED: {result.violations} sanitizer "
-                  "violations", file=sys.stderr)
-        if not result.demonstrated:
-            print("chaos FAILED: no shard was driven out of the write "
-                  "path and fully evacuated (the campaign proved "
-                  "nothing)", file=sys.stderr)
-        for view in result.tenants:
-            if not view.ok:
-                print(f"chaos FAILED: tenant {view.spec.name} "
-                      f"availability {view.success_ppm} ppm below the "
-                      f"chaos SLO {view.chaos_slo_ppm} ppm",
-                      file=sys.stderr)
-        return 1
     evacuated = sum(out.evac_in_pages for out in result.outcomes)
-    print(f"chaos clean: shard killed and evacuated ({evacuated} "
-          "pages), zero committed-data loss, availability within the "
-          "chaos SLO, sanitizers quiet")
-    return 0
+    return gate(result, "chaos clean: shard killed and evacuated "
+                f"({evacuated} pages), zero committed-data loss, "
+                "availability within the chaos SLO, sanitizers quiet")
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -187,20 +131,17 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``fleet`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro fleet")
-        sub = parser.add_subparsers(dest="fleet_command", required=True)
-    else:
-        parser = sub_or_none.add_parser(
-            "fleet", help="serve tenant workloads over N module shards")
-        sub = parser.add_subparsers(dest="fleet_command", required=True)
+def register(sub: "argparse._SubParsersAction") -> None:
+    """Register the ``fleet`` command under the ``repro`` CLI."""
+    from repro.report import add_harness_flags
+    parser = sub.add_parser(
+        "fleet", help="serve tenant workloads over N module shards")
+    commands = parser.add_subparsers(dest="fleet_command", required=True)
 
-    p_run = sub.add_parser("run", help="run the fleet and write a report")
-    p_run.add_argument("--quick", action="store_true",
-                       help="CI-sized run (100k requests, small shards)")
+    p_run = commands.add_parser("run", help="run the fleet and write a report")
+    add_harness_flags(p_run, "FLEET",
+                      "CI-sized run (100k requests, small shards)",
+                      seed=7, seed_help="fleet seed")
     p_run.add_argument("--shards", type=int, default=4,
                        help="module shards in the fleet (default 4)")
     p_run.add_argument("--placement", default="capacity_weighted",
@@ -210,8 +151,6 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
     p_run.add_argument("--requests", type=int, default=None,
                        help="total offered requests "
                             "(default: 100k quick / 1.2M full)")
-    p_run.add_argument("--seed", type=int, default=7,
-                       help="fleet seed (default 7)")
     p_run.add_argument("--queue-bound", type=int, default=64,
                        help="per-shard admission queue depth")
     p_run.add_argument("--wear", type=int, default=0, metavar="K",
@@ -229,24 +168,20 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                        help="wall-clock deadline (seconds) for the "
                             "--jobs worker fan-out; a shard stuck past "
                             "it raises FleetError (default: wait)")
-    p_run.add_argument("--out", default="results",
-                       help="directory for FLEET_<timestamp>.json")
     p_run.set_defaults(fn=cmd_run)
 
-    p_chaos = sub.add_parser(
+    p_chaos = commands.add_parser(
         "chaos",
         help="run the fleet under a seeded fault plan and write a "
              "CHAOS report")
-    p_chaos.add_argument("--quick", action="store_true",
-                         help="CI-sized campaign (24k requests, small "
-                              "shards)")
+    add_harness_flags(p_chaos, "CHAOS",
+                      "CI-sized campaign (24k requests, small shards)",
+                      seed=7)
     p_chaos.add_argument("--shards", type=int, default=3,
                          help="module shards, >= 2 (default 3)")
     p_chaos.add_argument("--requests", type=int, default=None,
                          help="total offered requests "
                               "(default: 24k quick / 400k full)")
-    p_chaos.add_argument("--seed", type=int, default=7,
-                         help="campaign seed (default 7)")
     p_chaos.add_argument("--queue-bound", type=int, default=64,
                          help="per-shard admission queue depth")
     p_chaos.add_argument("--jobs", default="1",
@@ -256,21 +191,8 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                          metavar="S",
                          help="wall-clock deadline (seconds) for the "
                               "--jobs worker fan-out (default: wait)")
-    p_chaos.add_argument("--out", default="results",
-                         help="directory for CHAOS_<timestamp>.json")
     p_chaos.set_defaults(fn=cmd_chaos)
 
-    p_list = sub.add_parser(
+    p_list = commands.add_parser(
         "list", help="print placement policies and the tenant roster")
     p_list.set_defaults(fn=cmd_list)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

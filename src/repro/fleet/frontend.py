@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from repro.errors import ConfigError, FleetError
 from repro.fleet.placement import PLACEMENTS, ZipfSampler
 from repro.fleet.qos import TenantQoS
+from repro.fleet.report import fleet_payload
 from repro.fleet.shard import (
     Request,
     ShardPlan,
@@ -222,6 +223,26 @@ class FleetResult:
         """The fleet-level gate: no loss, clean sanitizers, SLOs met."""
         return (self.data_loss == 0 and self.violations == 0
                 and all(qos.slo_evaluation()["ok"] for qos in self.tenants))
+
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        lines = []
+        if self.data_loss:
+            lines.append(f"fleet FAILED: {self.data_loss} pages lost")
+        if self.violations:
+            lines.append(f"fleet FAILED: {self.violations} sanitizer "
+                         "violations")
+        for qos in self.tenants:
+            gates = qos.slo_evaluation()
+            if not gates["ok"]:
+                missed = [g for g in ("p50", "p99", "p999", "admit")
+                          if not gates[g]]
+                lines.append(f"fleet FAILED: tenant {qos.spec.name} "
+                             f"missed SLO gates {missed}")
+        return lines
+
+    def to_dict(self) -> dict:
+        return fleet_payload(self)
 
 
 class Fleet:

@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.stats import order_statistic
 from repro.fleet.tenants import TenantSLO, TenantSpec
-
-
-def percentile_ps(samples: list[int], fraction: float) -> int:
-    """Order-statistic percentile (0 for an empty sample set)."""
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 @dataclass
@@ -58,9 +50,9 @@ class TenantQoS:
         samples = self.latencies_ps
         return {
             "samples": len(samples),
-            "p50_ps": percentile_ps(samples, 0.50),
-            "p99_ps": percentile_ps(samples, 0.99),
-            "p999_ps": percentile_ps(samples, 0.999),
+            "p50_ps": order_statistic(samples, 0.50),
+            "p99_ps": order_statistic(samples, 0.99),
+            "p999_ps": order_statistic(samples, 0.999),
             "max_ps": max(samples) if samples else 0,
         }
 

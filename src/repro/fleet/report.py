@@ -1,12 +1,10 @@
 """The schema-pinned ``FLEET_*.json`` fleet serving report.
 
 Mirrors the faults/soak/recovery reports: :data:`SCHEMA` pins the
-shape, :func:`render_report` serialises with sorted keys and a trailing
-newline (byte-identical for identical fleet results — ``generated_at``
-is the only non-deterministic field and is injected by the caller, None
-for byte-stable output), and :func:`validate_report` checks a parsed
-report against the pinned shape via the shared
-:func:`repro.report.validate_schema_report` skeleton.
+shape, :func:`fleet_payload` builds the body that
+:func:`repro.report.render_report` serialises, and
+:func:`validate_report` checks a parsed report against the pinned shape
+via the shared :func:`repro.report.validate_schema_report` skeleton.
 
 The report is the fleet's acceptance artifact: per-tenant QoS tables
 (order-statistic p50/p99/p999 vs declared SLOs, admit ratio), per-shard
@@ -19,7 +17,6 @@ health gate can both be checked from the artifact alone.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from repro.health.monitor import HealthState
@@ -103,18 +100,6 @@ def fleet_payload(result: "FleetResult") -> dict:
         },
         "ok": result.ok,
     }
-
-
-def render_report(result: "FleetResult",
-                  timestamp: str | None = None) -> str:
-    """Serialise a :class:`~repro.fleet.frontend.FleetResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = fleet_payload(result)
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _detail(payload: dict, problems: list[str]) -> None:

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.check.sanitizer import default_suite
-from repro.device.nvdimmc import NVDIMMCSystem
+from repro.device.nvdimmc import NVDIMMCSystem, capture_without_logs
 from repro.errors import FailStopError, MediaError
 from repro.fleet.qos import TenantQoS
 from repro.fleet.tenants import TenantSpec
@@ -174,24 +174,10 @@ def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
                     t = system.driver.write_page(page, data, t)
                     pages += 1
             service_est_ps = max(1, (t - start) // max(1, pages))
-            snapshot = _capture(system, tracer, suite, t)
+            snapshot = capture_without_logs(
+                {"system": system, "tracer": tracer, "suite": suite,
+                 "t": t}, label="fleet-prefix")
     return snapshot, service_est_ps
-
-
-def _capture(system: NVDIMMCSystem, tracer: Tracer, suite,
-             t: int) -> SimSnapshot:
-    """Snapshot the post-prefill graph (see ``soak._capture_prefix``)."""
-    nvmc = system.nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(
-            {"system": system, "tracer": tracer, "suite": suite, "t": t},
-            label="fleet-prefix")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
 
 
 def run_shard(snapshot: SimSnapshot, plan: ShardPlan,

@@ -1,11 +1,8 @@
 """The schema-pinned ``SOAK_*.json`` long-run soak report.
 
 Mirrors :mod:`repro.faults.report`: :data:`SCHEMA` names the pinned
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline (byte-identical for identical soak results — the
-wall-clock timestamp is the *only* non-deterministic field, injected by
-the caller so tests can omit it), and :func:`validate_report` checks a
-parsed report against the pinned shape.
+revision and :func:`validate_report` checks a parsed report against the
+pinned shape; :func:`repro.report.render_report` serialises it.
 
 The report carries the full health-state timeline (every ladder
 transition with its cause) plus per-edge coverage counts, so the
@@ -15,7 +12,6 @@ p99 degradation — can be checked from the artifact alone.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.health.monitor import LADDER_EDGES
@@ -42,17 +38,6 @@ _TOTAL_KEYS = frozenset(
     {"rounds", "writes", "reads", "refused_writes", "media_errors",
      "data_loss", "violations"})
 _EDGE_KEYS = frozenset(f"{a}->{b}" for a, b in LADDER_EDGES)
-
-
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise a :class:`~repro.health.soak.SoakResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _detail(payload: dict, problems: list[str]) -> None:

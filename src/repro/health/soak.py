@@ -24,8 +24,8 @@ Acceptance, checked from the report alone:
   :data:`~repro.health.monitor.LADDER_EDGES` appears in the health
   timeline at least once;
 * **bounded latency degradation** — the p99 op latency of the faulted
-  rounds stays within ``p99_bound`` times a fault-free twin running the
-  identical workload schedule;
+  rounds stays within :data:`DEFAULT_P99_BOUND` times a fault-free twin
+  running the identical workload schedule;
 * **sanitizers quiet** — the full :func:`~repro.check.sanitizer.
   default_suite` (including the scrub sanitizer) observes the run.
 
@@ -41,8 +41,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
-from repro.device.nvdimmc import NVDIMMCSystem
+from repro.device.nvdimmc import NVDIMMCSystem, capture_without_logs
 from repro.errors import FailStopError, MediaError
 from repro.health.monitor import HealthPolicy
 from repro.health.report import SCHEMA
@@ -63,9 +64,12 @@ _DEVICE_BYTES = mb(8)
 #: failures, large enough that the media-remap round stays below it.
 _SOAK_BAD_BLOCK_BUDGET = 4
 
-#: Default p99 bound: faulted p99 op latency may not exceed this many
-#: times the fault-free twin's p99.
+#: p99 bound: faulted p99 op latency may not exceed this many times the
+#: fault-free twin's p99.
 DEFAULT_P99_BOUND = 40.0
+
+#: Tracer retention bound (records).
+TRACE_CAPACITY = 400_000
 
 
 @dataclass
@@ -104,7 +108,6 @@ class SoakResult:
 
     seed: int
     quick: bool
-    p99_bound: float = DEFAULT_P99_BOUND
     rounds: list[SoakRound] = field(default_factory=list)
     health_timeline: list[dict] = field(default_factory=list)
     edges: dict[str, int] = field(default_factory=dict)
@@ -133,12 +136,30 @@ class SoakResult:
 
     @property
     def latency_ok(self) -> bool:
-        return self.p99_ratio_x1000 <= round(1000 * self.p99_bound)
+        return self.p99_ratio_x1000 <= round(1000 * DEFAULT_P99_BOUND)
 
     @property
     def ok(self) -> bool:
         return (self.data_loss == 0 and self.violations == 0
                 and self.edges_ok and self.latency_ok)
+
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        lines = []
+        if self.data_loss:
+            lines.append(f"soak FAILED: {self.data_loss} pages lost")
+        if not self.edges_ok:
+            missing = [e for e, n in sorted(self.edges.items()) if n < 1]
+            lines.append("soak FAILED: ladder edges never exercised: "
+                         f"{missing}")
+        if not self.latency_ok:
+            lines.append("soak FAILED: p99 latency degradation "
+                         f"{self.p99_ratio_x1000 / 1000:.2f}x exceeds the "
+                         f"{DEFAULT_P99_BOUND:.0f}x bound")
+        if self.violations:
+            lines.append(f"soak FAILED: {self.violations} sanitizer "
+                         "violations")
+        return lines
 
     def totals(self) -> dict[str, int]:
         return {
@@ -167,7 +188,7 @@ class SoakResult:
                 "soak_p50_ps": self.soak_p50_ps,
                 "soak_p99_ps": self.soak_p99_ps,
                 "p99_ratio_x1000": self.p99_ratio_x1000,
-                "p99_bound_x1000": round(1000 * self.p99_bound),
+                "p99_bound_x1000": round(1000 * DEFAULT_P99_BOUND),
             },
             "scrub": {key: self.scrub[key] for key in sorted(self.scrub)},
             "counters": {key: self.counters[key]
@@ -183,14 +204,6 @@ class SoakResult:
 def _payload(page: int, version: int) -> bytes:
     head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
     return head + bytes([(page * 137 + version * 31) % 256]) * (PAGE_4K - 8)
-
-
-def _percentile(samples: list[int], fraction: float) -> int:
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 class _Leg:
@@ -303,8 +316,6 @@ def _run_twin(seed: int, footprint: int, steps: int,
 
 
 def run_soak(seed: int = 0, quick: bool = False,
-             capacity: int = 400_000,
-             p99_bound: float = DEFAULT_P99_BOUND,
              progress: Callable[[SoakRound], None] | None = None,
              snapshot: bool = True) -> SoakResult:
     """Execute the five-round soak under a sanitized tracer.
@@ -322,8 +333,8 @@ def run_soak(seed: int = 0, quick: bool = False,
     footprint = FOOTPRINT_PAGES_QUICK if quick else FOOTPRINT_PAGES
     steps = footprint
     scrub_windows = 32 if quick else 96
-    result = SoakResult(seed=seed, quick=quick, p99_bound=p99_bound)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    result = SoakResult(seed=seed, quick=quick)
+    tracer = Tracer(enabled=True, capacity=TRACE_CAPACITY)
     suite = default_suite(strict=False)
     if not snapshot:
         with use_tracer(tracer):
@@ -333,14 +344,16 @@ def run_soak(seed: int = 0, quick: bool = False,
                 _run_rounds(result, soak_seed, footprint, steps,
                             scrub_windows, tracer, progress)
         result.violations = len(suite.violations)
-        result.clean_p50_ps = _percentile(twin_latencies, 0.50)
-        result.clean_p99_ps = _percentile(twin_latencies, 0.99)
+        result.clean_p50_ps = order_statistic(twin_latencies, 0.50)
+        result.clean_p99_ps = order_statistic(twin_latencies, 0.99)
         return result
 
     with use_tracer(tracer):
         with suite.attach(tracer):
             system, leg, rnd, t = _soak_prefix(soak_seed, footprint, tracer)
-            snap = _capture_prefix(system, tracer, suite, leg, t)
+            snap = capture_without_logs(
+                {"system": system, "tracer": tracer, "suite": suite,
+                 "leg": leg, "t": t}, label="soak-prefix")
             _run_rounds_from(result, system, leg, rnd, t, soak_seed,
                              footprint, steps, scrub_windows, progress)
     twin_latencies = _fork_twin(snap, soak_seed, steps)
@@ -348,8 +361,8 @@ def run_soak(seed: int = 0, quick: bool = False,
     # suite; here the main run and the twin fork each observed it once,
     # so the two suites together see the same record population.
     result.violations = len(suite.violations) + result.violations
-    result.clean_p50_ps = _percentile(twin_latencies, 0.50)
-    result.clean_p99_ps = _percentile(twin_latencies, 0.99)
+    result.clean_p50_ps = order_statistic(twin_latencies, 0.50)
+    result.clean_p99_ps = order_statistic(twin_latencies, 0.99)
     return result
 
 
@@ -364,23 +377,6 @@ def _soak_prefix(seed: int, footprint: int, tracer: Tracer,
     t = round(us(1))
     t = leg.seq_write(t, 0, rnd, sample=True)
     return system, leg, rnd, t
-
-
-def _capture_prefix(system: NVDIMMCSystem, tracer: Tracer, suite,
-                    leg: "_Leg", t: int) -> SimSnapshot:
-    """Snapshot the post-prefix graph (see ``explorer._capture``)."""
-    nvmc = system.nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(
-            {"system": system, "tracer": tracer, "suite": suite,
-             "leg": leg, "t": t},
-            label="soak-prefix")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
 
 
 def _fork_twin(snap: SimSnapshot, seed: int, steps: int) -> list[int]:
@@ -535,5 +531,5 @@ def _run_rounds_from(result: SoakResult, system: NVDIMMCSystem,
     }
     soak_latencies = leg.latencies
     result.samples = len(soak_latencies)
-    result.soak_p50_ps = _percentile(soak_latencies, 0.50)
-    result.soak_p99_ps = _percentile(soak_latencies, 0.99)
+    result.soak_p50_ps = order_statistic(soak_latencies, 0.50)
+    result.soak_p99_ps = order_statistic(soak_latencies, 0.99)

@@ -18,7 +18,7 @@ package is that scenario's proof machinery:
 
 from repro.recovery.explorer import ExplorerResult, RunOutcome, explore
 from repro.recovery.mount import MountReport, recover_mount
-from repro.recovery.report import SCHEMA, render_report, validate_report
+from repro.recovery.report import SCHEMA, validate_report
 
 __all__ = [
     "ExplorerResult",
@@ -27,6 +27,5 @@ __all__ = [
     "SCHEMA",
     "explore",
     "recover_mount",
-    "render_report",
     "validate_report",
 ]

@@ -12,15 +12,11 @@ the sweep never reached the §V-C drain.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_crash(args: argparse.Namespace) -> int:
     from repro.recovery.explorer import explore
-    from repro.recovery.report import render_report, validate_report
+    from repro.report import gate, write_report
 
     def progress(done: int, planned: int) -> None:
         if done % 25 == 0 or done == planned:
@@ -28,22 +24,12 @@ def cmd_crash(args: argparse.Namespace) -> int:
 
     mode = "quick" if args.quick else "full"
     print(f"repro crash: {mode} sweep, seed {args.seed}")
-    result = explore(seed=args.seed, quick=args.quick,
-                     capacity=args.capacity, progress=progress,
+    result = explore(seed=args.seed, quick=args.quick, progress=progress,
                      snapshot=not args.no_snapshot)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a sweep failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"RECOVERY_{timestamp}.json"
-    path.write_text(payload)
+    status = write_report(result, args.out)
+    if status:
+        return status
     totals = result.totals()
-    print(f"wrote {path}")
     print(f"events={result.total_events} "
           f"(workload {result.workload_events}, "
           f"drain {result.total_events - result.workload_events}) "
@@ -57,53 +43,21 @@ def cmd_crash(args: argparse.Namespace) -> int:
           f"failed_runs={totals['failed_runs']}")
     print("sites: " + " ".join(
         f"{site}={count}" for site, count in sorted(result.sites().items())))
-    if not result.ok:
-        if not result.baseline_ok:
-            print("crash sweep FAILED: fault-free baseline is not clean",
-                  file=sys.stderr)
-        if totals["failed_runs"]:
-            print(f"crash sweep FAILED: {totals['failed_runs']} cut points "
-                  "broke a recovery invariant", file=sys.stderr)
-        if totals["drain_cuts"] < 1:
-            print("crash sweep FAILED: no cut point landed inside the "
-                  "§V-C drain", file=sys.stderr)
-        return 1
-    print("crash sweep clean: every cut point remounted with committed "
-          "data intact and no torn page served")
-    return 0
+    return gate(result, "crash sweep clean: every cut point remounted with "
+                "committed data intact and no torn page served")
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``crash`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro crash")
-    else:
-        parser = sub_or_none.add_parser(
-            "crash", help="crash-point explorer (cut + remount sweep)")
-    parser.add_argument("--quick", action="store_true",
-                        help="stride-sample the event space and bisect "
-                             "behaviour boundaries instead of cutting at "
-                             "every event")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default 0)")
-    parser.add_argument("--out", default="results",
-                        help="directory for RECOVERY_<timestamp>.json")
-    parser.add_argument("--capacity", type=int, default=200_000,
-                        help="per-run tracer retention bound (records)")
+def register(sub: "argparse._SubParsersAction") -> None:
+    """Register the ``crash`` command under the ``repro`` CLI."""
+    from repro.report import add_harness_flags
+    parser = sub.add_parser(
+        "crash", help="crash-point explorer (cut + remount sweep)")
+    add_harness_flags(parser, "RECOVERY",
+                      "stride-sample the event space and bisect "
+                      "behaviour boundaries instead of cutting at "
+                      "every event", seed_help="workload seed")
     parser.add_argument("--no-snapshot", action="store_true",
                         help="re-run every cut from event zero instead of "
                              "forking tails from mid-run snapshots "
                              "(reports are byte-identical either way)")
     parser.set_defaults(fn=cmd_crash)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

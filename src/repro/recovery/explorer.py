@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.check.sanitizer import default_suite
-from repro.device.nvdimmc import NVDIMMCSystem
+from repro.device.nvdimmc import NVDIMMCSystem, capture_without_logs
 from repro.device.power import PowerFailureModel
 from repro.errors import PowerLossInterrupt
 from repro.faults.clock import FaultClock
@@ -81,6 +81,8 @@ QUICK_TARGET = 56
 #: cheaper captures over shorter tails.
 SNAP_CADENCE_FULL = 8
 SNAP_CADENCE_QUICK = 32
+#: Per-run tracer retention bound (records).
+TRACE_CAPACITY = 200_000
 
 _ZERO_CRC = zlib.crc32(bytes(PAGE_4K))
 
@@ -193,6 +195,21 @@ class ExplorerResult:
         return (self.baseline_ok
                 and totals["failed_runs"] == 0
                 and totals["drain_cuts"] >= 1)
+
+    def failures(self) -> list[str]:
+        """The gate's ``FAILED`` lines; empty exactly when :attr:`ok`."""
+        totals = self.totals()
+        lines = []
+        if not self.baseline_ok:
+            lines.append("crash sweep FAILED: fault-free baseline is not "
+                         "clean")
+        if totals["failed_runs"]:
+            lines.append(f"crash sweep FAILED: {totals['failed_runs']} cut "
+                         "points broke a recovery invariant")
+        if totals["drain_cuts"] < 1:
+            lines.append("crash sweep FAILED: no cut point landed inside "
+                         "the §V-C drain")
+        return lines
 
     def to_dict(self) -> dict:
         from repro.recovery.report import SCHEMA
@@ -323,8 +340,7 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
         outcome.remount_writable = False
 
 
-def _run_cut(seed: int, capacity: int,
-             cut_index: int | None) -> tuple[RunOutcome, int, int]:
+def _run_cut(seed: int, cut_index: int | None) -> tuple[RunOutcome, int, int]:
     """One deterministic run; ``cut_index=None`` is the counting baseline.
 
     Returns ``(outcome, workload_events, total_events)`` — the event
@@ -333,7 +349,7 @@ def _run_cut(seed: int, capacity: int,
     baseline's counts number the whole explorable space.
     """
     rng = random.Random(seed)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    tracer = Tracer(enabled=True, capacity=TRACE_CAPACITY)
     suite = default_suite(strict=False)
     outcome = RunOutcome(index=cut_index if cut_index is not None else 0)
     with use_tracer(tracer):
@@ -389,41 +405,22 @@ def _run_cut(seed: int, capacity: int,
 
 
 def _capture(roots: dict, t: int, op: int, events_seen: int) -> SimSnapshot:
-    """Capture the whole run graph at a workload-op boundary.
-
-    Append-only observability logs — retained trace records, the NVMC's
-    per-command :class:`OperationResult` list, the FSM transition
-    history — are swapped out for the duration of the dump: no recovery
-    report reads them, forks resume with empty logs, and the blob
-    shrinks by the size of the prefix history.  Sanitizer observation
-    state (inside the suite) and the live FSM *state* stay in — those
-    feed post-cut behaviour.
-    """
-    tracer = roots["tracer"]
-    nvmc = roots["system"].nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(dict(roots, t=t, op=op),
-                                   event_index=events_seen,
-                                   label=f"op{op}")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
+    """Capture the whole run graph at a workload-op boundary."""
+    return capture_without_logs(dict(roots, t=t, op=op),
+                                event_index=events_seen, label=f"op{op}")
 
 
-def _golden_run(seed: int, capacity: int, cadence: int,
+def _golden_run(seed: int, cadence: int,
                 ) -> tuple[RunOutcome, int, int, SnapshotTimeline]:
     """The counting baseline, doubling as the snapshot producer.
 
-    Identical simulation to ``_run_cut(seed, capacity, None)`` —
+    Identical simulation to ``_run_cut(seed, None)`` —
     captures are pure reads — plus a :class:`SnapshotTimeline` entry
     every ``cadence`` workload ops and one at the workload/drain
     boundary (so in-drain cuts fork without re-running any workload).
     """
     rng = random.Random(seed)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    tracer = Tracer(enabled=True, capacity=TRACE_CAPACITY)
     suite = default_suite(strict=False)
     outcome = RunOutcome(index=0)
     timeline = SnapshotTimeline()
@@ -536,7 +533,6 @@ def _quick_points(total: int, workload_events: int) -> list[int]:
 
 
 def explore(seed: int = 0, quick: bool = False,
-            capacity: int = 200_000,
             progress: Callable[[int, int], None] | None = None,
             snapshot: bool = True,
             ) -> ExplorerResult:
@@ -557,9 +553,9 @@ def explore(seed: int = 0, quick: bool = False,
     if snapshot:
         cadence = SNAP_CADENCE_QUICK if quick else SNAP_CADENCE_FULL
         baseline, workload_events, total, timeline = _golden_run(
-            seed, capacity, cadence)
+            seed, cadence)
     else:
-        baseline, workload_events, total = _run_cut(seed, capacity, None)
+        baseline, workload_events, total = _run_cut(seed, None)
     result.total_events = total
     result.workload_events = workload_events
     # With no cut the drain completes: everything acked must be intact.
@@ -579,7 +575,7 @@ def explore(seed: int = 0, quick: bool = False,
             if timeline is not None:
                 outcome = _replay_cut(timeline, index)
             else:
-                outcome, _, _ = _run_cut(seed, capacity, index)
+                outcome, _, _ = _run_cut(seed, index)
             explored[index] = outcome
             if progress is not None:
                 progress(len(explored), planned)

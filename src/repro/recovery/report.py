@@ -1,11 +1,8 @@
 """The schema-pinned ``RECOVERY_*.json`` crash-exploration report.
 
 Same contract as the faults and soak reports: :data:`SCHEMA` names the
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline — byte-identical for identical sweeps, since the
-wall-clock timestamp is injected by the caller (pass ``None`` for
-byte-stable output) — and :func:`validate_report` checks a parsed
-report against the pinned shape.
+revision and :func:`validate_report` checks a parsed report against the
+pinned shape; :func:`repro.report.render_report` serialises it.
 
 Shape notes:
 
@@ -27,7 +24,6 @@ Shape notes:
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.report import (require_bool, require_exact_keys,
@@ -48,17 +44,6 @@ _TOTAL_KEYS = frozenset(
     {"cut_points", "drain_cuts", "committed_lost", "torn_served",
      "acked_uncommitted", "torn_quarantined", "sanitizer_violations",
      "replay_recovered", "replay_lost", "failed_runs"})
-
-
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise an :class:`~repro.recovery.explorer.ExplorerResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _detail(payload: dict, problems: list[str]) -> None:

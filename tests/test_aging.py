@@ -20,11 +20,12 @@ import pytest
 import repro
 
 from repro.aging.campaign import AgingConfig, run_aging
-from repro.aging.report import render_report, validate_report
+from repro.aging.report import validate_report
 from repro.errors import ConfigError
 from repro.nand.endurance import (paper_device_lifetime,
                                   project_lifetime_years)
 from repro.nand.spec import ZNAND_64GB
+from repro.report import render_report
 from repro.units import gb
 
 QUICK = AgingConfig(quick=True)
@@ -212,7 +213,7 @@ class TestDeterminism:
 _DIGEST_SNIPPET = """
 import zlib
 from repro.aging.campaign import AgingConfig, run_aging
-from repro.aging.report import render_report
+from repro.report import render_report
 
 report = render_report(run_aging(AgingConfig(
     quick=True, shards=1, max_epochs=3, strategies=("greedy",))))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.cli import main as check_main
+from repro.cli import main
 from repro.check.xstatic import (BASELINE_SCHEMA, REPORT_SCHEMA,
                                  analyze_tree, load_baseline,
                                  render_baseline, render_registry_markdown,
@@ -439,17 +439,17 @@ def _fixture_root(tmp_path: Path) -> Path:
 
 def test_cli_static_exit_codes(tmp_path, capsys):
     root = _fixture_root(tmp_path)
-    assert check_main(["--static", "--root", str(root)]) == 1
+    assert main(["check", "--static", "--root", str(root)]) == 1
     assert "REPRO010" in capsys.readouterr().out
-    assert check_main(["--static", "--root", str(SRC_TREE), "--baseline",
-                       str(REPO_ROOT / "baselines" / "static.json")]) == 0
+    assert main(["check", "--static", "--root", str(SRC_TREE), "--baseline",
+                 str(REPO_ROOT / "baselines" / "static.json")]) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_static_json_format(tmp_path, capsys):
     root = _fixture_root(tmp_path)
-    assert check_main(["--static", "--root", str(root),
-                       "--format", "json"]) == 1
+    assert main(["check", "--static", "--root", str(root),
+                 "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == REPORT_SCHEMA
     assert payload["summary"] == {"total": 1, "baselined": 0, "new": 1}
@@ -460,44 +460,44 @@ def test_cli_static_json_format(tmp_path, capsys):
 def test_cli_baseline_write_then_compare(tmp_path, capsys):
     root = _fixture_root(tmp_path)
     baseline = tmp_path / "static.json"
-    assert check_main(["--static", "--root", str(root),
-                       "--baseline", str(baseline),
-                       "--write-baseline"]) == 0
+    assert main(["check", "--static", "--root", str(root),
+                 "--baseline", str(baseline),
+                 "--write-baseline"]) == 0
     capsys.readouterr()
     # Baselined findings no longer fail the run...
-    assert check_main(["--static", "--root", str(root),
-                       "--baseline", str(baseline)]) == 0
+    assert main(["check", "--static", "--root", str(root),
+                 "--baseline", str(baseline)]) == 0
     assert "baselined finding(s) suppressed" in capsys.readouterr().out
     # ...but a fresh finding still does.
     extra = root / "faults" / "extra.py"
     extra.write_text("import json\n\n\ndef more(p):\n"
                      "    return json.dumps(p)\n", encoding="utf-8")
-    assert check_main(["--static", "--root", str(root),
-                       "--baseline", str(baseline)]) == 1
+    assert main(["check", "--static", "--root", str(root),
+                 "--baseline", str(baseline)]) == 1
 
 
 def test_cli_rejects_bad_baseline(tmp_path, capsys):
     root = _fixture_root(tmp_path)
     baseline = tmp_path / "bad.json"
     baseline.write_text('{"schema": "wrong"}', encoding="utf-8")
-    assert check_main(["--static", "--root", str(root),
-                       "--baseline", str(baseline)]) == 2
+    assert main(["check", "--static", "--root", str(root),
+                 "--baseline", str(baseline)]) == 2
     assert "bad baseline" in capsys.readouterr().err
 
 
 def test_cli_registry_out_writes_markdown(tmp_path, capsys):
     out = tmp_path / "hook_registry.md"
-    assert check_main(["--static", "--root", str(SRC_TREE),
-                       "--baseline",
-                       str(REPO_ROOT / "baselines" / "static.json"),
-                       "--registry-out", str(out)]) == 0
+    assert main(["check", "--static", "--root", str(SRC_TREE),
+                 "--baseline",
+                 str(REPO_ROOT / "baselines" / "static.json"),
+                 "--registry-out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text(encoding="utf-8").startswith(
         "# Hook-site and trace-event registry")
 
 
 def test_cli_requires_static_or_subcommand(capsys):
-    assert check_main([]) == 2
+    assert main(["check"]) == 2
     assert "--static" in capsys.readouterr().err
 
 

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.faults import (INJECTORS, SCHEMA, campaign_matrix, injector_names,
-                          render_report, run_campaign, validate_report)
+                          run_campaign, validate_report)
 from repro.faults.campaign import cell_seed_for
-from repro.faults.cli import main as faults_main
+from repro.report import render_report
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +89,8 @@ class TestReportSchema:
 
 class TestCLI:
     def test_run_quick_writes_report(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--seed", "0",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--seed", "0",
+                   "--out", str(tmp_path)])
         assert rc == 0
         reports = list(tmp_path.glob("FAULTS_*.json"))
         assert len(reports) == 1
@@ -99,7 +100,7 @@ class TestCLI:
         assert "campaign clean" in out
 
     def test_list_prints_registry(self, capsys):
-        rc = faults_main(["list"])
+        rc = main(["faults", "list"])
         assert rc == 0
         out = capsys.readouterr().out
         for name in injector_names():
@@ -125,9 +126,9 @@ class TestOnly:
             run_campaign(seed=0, quick=True, only=["no-such-fault"])
 
     def test_cli_only_runs_the_named_cells(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--seed", "0",
-                          "--only", "cp-corrupt",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--seed", "0",
+                   "--only", "cp-corrupt",
+                   "--out", str(tmp_path)])
         assert rc == 0
         [report] = list(tmp_path.glob("FAULTS_*.json"))
         payload = json.loads(report.read_text())
@@ -135,8 +136,8 @@ class TestOnly:
         assert "only cp-corrupt" in capsys.readouterr().out
 
     def test_cli_unknown_id_lists_the_known_ones(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--only", "bogus,cp-corrupt",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--only", "bogus,cp-corrupt",
+                   "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown fault ids: bogus" in err

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.analysis.stats import order_statistic
+from repro.cli import main
 from repro.errors import ConfigError
-from repro.fleet.cli import main as fleet_main
 from repro.fleet.frontend import FleetConfig, run_fleet
 from repro.fleet.placement import (
     PLACEMENTS,
@@ -14,9 +15,10 @@ from repro.fleet.placement import (
     TenantPinnedPlacement,
     ZipfSampler,
 )
-from repro.fleet.qos import TenantQoS, percentile_ps
-from repro.fleet.report import SCHEMA, render_report, validate_report
+from repro.fleet.qos import TenantQoS
+from repro.fleet.report import SCHEMA, validate_report
 from repro.fleet.tenants import default_tenants
+from repro.report import render_report
 
 QUICK = dict(quick=True, shards=2, requests=2000, seed=7)
 
@@ -151,11 +153,19 @@ def test_config_defaults_and_weights():
 
 
 def test_percentile_is_order_statistic():
-    assert percentile_ps([], 0.99) == 0
+    assert order_statistic([], 0.99) == 0
     samples = list(range(100, 0, -1))
-    assert percentile_ps(samples, 0.50) == 51
-    assert percentile_ps(samples, 0.99) == 100
-    assert percentile_ps([42], 0.999) == 42
+    assert order_statistic(samples, 0.50) == 51
+    assert order_statistic(samples, 0.99) == 100
+    assert order_statistic([42], 0.999) == 42
+    assert samples == list(range(100, 0, -1))    # caller's list untouched
+    # The fleet QoS table, the soak p99 and the aging time-to-read_only
+    # percentiles all read through this one function.
+    qos = TenantQoS(spec=default_tenants(quick=True)[0],
+                    latencies_ps=samples)
+    summary = qos.latency_summary()
+    assert (summary["p50_ps"], summary["p99_ps"],
+            summary["p999_ps"]) == (51, 100, 100)
 
 
 def test_qos_merge_and_admit_ppm():
@@ -341,8 +351,8 @@ def test_tenant_pinned_run_isolates_pinned_tenants():
 
 
 def test_cli_run_writes_valid_report(tmp_path):
-    code = fleet_main(["run", "--quick", "--shards", "2", "--requests",
-                       "2000", "--out", str(tmp_path)])
+    code = main(["fleet", "run", "--quick", "--shards", "2", "--requests",
+                 "2000", "--out", str(tmp_path)])
     assert code == 0
     reports = list(tmp_path.glob("FLEET_*.json"))
     assert len(reports) == 1
@@ -352,25 +362,25 @@ def test_cli_run_writes_valid_report(tmp_path):
 
 
 def test_cli_rejects_bad_flags(tmp_path, capsys):
-    assert fleet_main(["run", "--shards", "0", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["run", "--jobs", "zero", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--shards", "0", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--jobs", "zero", "--out",
+                 str(tmp_path)]) == 2
 
 
 def test_cli_rejects_out_of_range_wear(tmp_path, capsys):
-    assert fleet_main(["run", "--wear", "-1", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["run", "--shards", "2", "--wear", "3", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--wear", "-1", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--shards", "2", "--wear", "3", "--out",
+                 str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "[0, 2]" in err
-    assert fleet_main(["run", "--worker-timeout", "0", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--worker-timeout", "0", "--out",
+                 str(tmp_path)]) == 2
 
 
 def test_cli_list(capsys):
-    assert fleet_main(["list"]) == 0
+    assert main(["fleet", "list"]) == 0
     out = capsys.readouterr().out
     for name in PLACEMENTS:
         assert name in out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.fleet.chaos import (
     ChaosConfig,
@@ -15,10 +16,10 @@ from repro.fleet.chaos import (
     route_failover,
     run_chaos,
 )
-from repro.fleet.chaos_report import SCHEMA, render_report, validate_report
-from repro.fleet.cli import main as fleet_main
+from repro.fleet.chaos_report import SCHEMA, validate_report
 from repro.fleet.shard import Request, ShardResult, tenant_bases
 from repro.fleet.tenants import default_tenants
+from repro.report import render_report
 
 QUICK = dict(quick=True, shards=3, requests=4000, seed=3)
 
@@ -273,9 +274,9 @@ def test_remount_audit_is_validated(chaos_result):
 
 
 def test_cli_chaos_writes_valid_report(tmp_path, capsys):
-    code = fleet_main(["chaos", "--quick", "--shards", "3",
-                       "--requests", "4000", "--seed", "3", "--out",
-                       str(tmp_path)])
+    code = main(["fleet", "chaos", "--quick", "--shards", "3",
+                 "--requests", "4000", "--seed", "3", "--out",
+                 str(tmp_path)])
     assert code == 0
     reports = list(tmp_path.glob("CHAOS_*.json"))
     assert len(reports) == 1
@@ -288,10 +289,10 @@ def test_cli_chaos_writes_valid_report(tmp_path, capsys):
 
 
 def test_cli_chaos_rejects_bad_flags(tmp_path, capsys):
-    assert fleet_main(["chaos", "--shards", "1", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["chaos", "--worker-timeout", "0", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "chaos", "--shards", "1", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "chaos", "--worker-timeout", "0", "--out",
+                 str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "shards >= 2" in err
 

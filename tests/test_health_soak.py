@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.health.cli import main as soak_main
+from repro.cli import main
 from repro.health.monitor import LADDER_EDGES
-from repro.health.report import SCHEMA, render_report, validate_report
+from repro.health.report import SCHEMA, validate_report
 from repro.health.soak import run_soak
+from repro.report import render_report
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,8 @@ class TestReportSchema:
 @pytest.mark.sanitizer_exempt
 class TestCLI:
     def test_quick_cli_writes_a_report(self, tmp_path, capsys):
-        rc = soak_main(["--quick", "--seed", "0",
-                        "--out", str(tmp_path)])
+        rc = main(["soak", "--quick", "--seed", "0",
+                   "--out", str(tmp_path)])
         assert rc == 0
         [path] = list(tmp_path.glob("SOAK_*.json"))
         payload = json.loads(path.read_text())

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.recovery.explorer import explore
-from repro.recovery.report import SCHEMA, render_report, validate_report
+from repro.recovery.report import SCHEMA, validate_report
+from repro.report import render_report
 
 
 @pytest.fixture(scope="module")
