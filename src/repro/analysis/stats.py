@@ -12,10 +12,18 @@ def order_statistic(samples: list[int], fraction: float) -> int:
     the harness reports stay byte-deterministic.  (The experiments'
     :meth:`LatencyAccumulator.percentile_ps` is nearest-rank instead.)
     """
+    return order_statistics(samples, (fraction,))[0]
+
+
+def order_statistics(samples: list[int],
+                     fractions: tuple[float, ...]) -> list[int]:
+    """:func:`order_statistic` at each fraction, sorting once."""
     if not samples:
-        return 0
+        return [0] * len(fractions)
     ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+    last = len(ordered) - 1
+    return [ordered[min(last, int(fraction * len(ordered)))]
+            for fraction in fractions]
 
 
 class LatencyAccumulator:

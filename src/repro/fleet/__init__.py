@@ -21,9 +21,11 @@ Layout::
                      fio / tpch / mixed_load workload generators
     placement.py     placement policies + the zipfian key sampler
     shard.py         one module shard: fork-from-prefix, admission
-                     queue, integrity sweep, health summary
+                     queue, integrity sweep, health summary — the
+                     one serve loop, chaos extensions passed as data
     qos.py           latency percentiles and SLO evaluation
     frontend.py      the front end: plan -> place -> fan out -> merge
+                     (fan_out is the worker pool both harnesses use)
     report.py        the schema-pinned ``FLEET_*.json`` (repro.fleet/1)
     chaos.py         chaos campaigns: fault plans, retry/hedge/
                      failover, shard evacuation, two-pass routing

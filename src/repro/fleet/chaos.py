@@ -25,6 +25,10 @@ tenants with the three standard resilience moves:
   integrity sweep) and the placement map is patched: the donor answers
   for the evacuated keys from then on.
 
+The per-shard serving is :func:`repro.fleet.shard.serve_shard`, the
+loop ``fleet run`` uses too; this module hands it the fault events and
+the extensions above as data.
+
 Determinism and the ``--jobs`` contract: the campaign runs in **two
 passes**.  Pass 1 executes every shard's plan plus its fault schedule —
 each shard is still a pure function of its own plan, so the pass fans
@@ -40,34 +44,27 @@ at any ``jobs`` setting.
 from __future__ import annotations
 
 import random
-import warnings
 import zlib
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.device.power import PowerFailureModel
-from repro.errors import (ConfigError, FailStopError, MediaError,
-                          PowerLossInterrupt)
-from repro.faults.clock import FaultClock
+from repro.errors import ConfigError
 from repro.fleet.chaos_report import chaos_payload
-from repro.fleet.frontend import Fleet, FleetConfig, collect_fan_out
+from repro.fleet.frontend import Fleet, FleetConfig, fan_out
 from repro.fleet.qos import TenantQoS
 from repro.fleet.shard import (
+    ChaosEvent,
+    ChaosShardOutcome,
     Request,
     ShardPlan,
-    ShardResult,
-    _filler,
     build_prefix,
+    serve_shard,
     tenant_bases,
 )
 from repro.fleet.tenants import TenantSpec, default_tenants
-from repro.health.monitor import HealthPolicy, HealthState
+from repro.health.monitor import HealthPolicy
 from repro.health.retry import RetryPolicy
-from repro.recovery import recover_mount
 from repro.sim.snapshot import SimSnapshot
-from repro.sim.trace import use_tracer
 from repro.units import us
-from repro.workloads.mixed_load import _check_record, _make_record
 
 #: Request-count defaults per mode.  The two-pass structure serves the
 #: donor's plan twice, so chaos sizes below the plain fleet run.
@@ -80,10 +77,6 @@ FULL_REQUESTS = 400_000
 #: tighter ladder — the planned program-fail bursts then push the kill
 #: shard over the ``read_only`` edge mid-run.
 CHAOS_BAD_BLOCK_BUDGET = 4
-
-#: Simulated time a cold remount costs the cut shard (drain + media
-#: scan + driver bring-up) before it serves again.
-_REMOUNT_PENALTY_PS = round(us(150))
 
 #: Availability allowance under chaos, in ppm: each tenant's chaos SLO
 #: is its declared ``min_admit_ppm`` minus this allowance.  The fleet
@@ -182,19 +175,6 @@ class ChaosConfig:
 
 
 @dataclass(frozen=True)
-class ChaosEvent:
-    """One scheduled fault on one shard's virtual timeline."""
-
-    at_request: int   #: apply before serving this primary-request ordinal
-    kind: str         #: "program-fail" | "ecc-burst" | "power-cut"
-    magnitude: int
-
-    def to_dict(self) -> dict:
-        return {"at_request": self.at_request, "kind": self.kind,
-                "magnitude": self.magnitude}
-
-
-@dataclass(frozen=True)
 class ChaosRoles:
     """The seed-derived cast: who dies, who insures."""
 
@@ -251,323 +231,23 @@ class ChaosShardPlan:
         return self.base.shard
 
 
-@dataclass
-class ChaosShardOutcome:
-    """Everything one chaos shard run observed."""
-
-    result: ShardResult
-    retries: int = 0            #: front-end re-issues (backoff applied)
-    retry_successes: int = 0    #: requests that completed on a retry
-    power_cuts: int = 0
-    remounts: list[dict] = field(default_factory=list)
-    refused_requests: tuple[Request, ...] = ()
-    evac_pages: tuple[tuple[int, bytes], ...] = ()
-    evac_in_pages: int = 0
-    evac_in_failures: int = 0
-    hedge_attempted: int = 0
-    hedge_refused: int = 0
-    hedge_completed_seqs: frozenset[int] = frozenset()
-    failover_tenants: list[TenantQoS] = field(default_factory=list)
-    failover_served: int = 0
-
-
-def _apply_event(system, event: ChaosEvent, rng: random.Random) -> None:
-    """Arm one scheduled fault on the live shard (PR 3 machinery)."""
-    if event.kind == "program-fail":
-        dies = system.nand.dies
-        for _ in range(event.magnitude):
-            dies[rng.randrange(len(dies))].inject_program_failures(1)
-    elif event.kind == "ecc-burst":
-        system.nand.codec.inject_uncorrectable(event.magnitude)
-    elif event.kind == "power-cut":
-        clock = FaultClock().cut_on_visit(event.magnitude, site="nvmc")
-        system.nvmc.fault_clock = clock
-        system.nand.ftl.fault_clock = clock
-    else:
-        raise ConfigError(f"unknown chaos event kind {event.kind!r}")
-
-
-def _cold_remount(system, now_ps: int):
-    """§V-C drain then cold mount; returns (fresh_system, audit note)."""
-    power = PowerFailureModel(system.driver)
-    power.power_fail(now_ps=now_ps)
-    fresh, report = recover_mount(system, power.journal, now_ps=now_ps)
-    note = {
-        "at_ps": now_ps,
-        "health_state": report.health_state,
-        "bad_blocks": report.bad_blocks,
-        "replay_recovered": report.replay_recovered,
-        "replay_lost": report.replay_lost,
-        "replay_crc_mismatches": report.replay_crc_mismatches,
-    }
-    return fresh, note
-
-
 def run_chaos_shard(snapshot: SimSnapshot, plan: ChaosShardPlan,
                     tenants: tuple[TenantSpec, ...]) -> ChaosShardOutcome:
     """Serve one shard's plan under its fault schedule.
 
-    The serve loop mirrors :func:`repro.fleet.shard.run_shard` —
-    virtual-time arrivals, bounded-FIFO admission, shadow-dict
-    integrity sweep — with the chaos additions: scheduled fault events,
-    per-request bounded retry, power-cut recovery (drain + cold remount
-    + deterministic queue flush), hedge mirrors interleaved by arrival,
-    evacuation bulk copies, and the failover tail.
+    The shared :func:`~repro.fleet.shard.serve_shard` loop, driven with
+    the plan's chaos extensions and the bounded, jittered front-end
+    retry policy.
     """
-    state = snapshot.restore()
-    system = state["system"]
-    tracer = state["tracer"]
-    suite = state["suite"]
-    epoch: int = state["t"]
-    system.nand.reseed(plan.base.seed)
-
     policy = RetryPolicy(
         max_attempts=_RETRY_ATTEMPTS, base_ps=_RETRY_BASE_PS,
         cap_ps=_RETRY_CAP_PS, multiplier=2.0, jitter=0.25,
-        seed=plan.retry_seed, site=f"chaos.shard{plan.base.shard}")
-    result = ShardResult(
-        shard=plan.base.shard,
-        tenants=[TenantQoS(spec=tenant) for tenant in tenants])
-    outcome = ChaosShardOutcome(
-        result=result,
-        failover_tenants=[TenantQoS(spec=tenant) for tenant in tenants])
-    bases = tenant_bases(tenants)
-    shadow: dict[int, bytes] = {}
-    record_pages: set[int] = set()
-    refused: list[Request] = []
-    hedge_completed: set[int] = set()
-    events_left = list(plan.events)
-    fault_rng = random.Random(
-        zlib.crc32(f"{plan.retry_seed}:events".encode("ascii")))
-
-    def region_is_records(page: int) -> bool:
-        tenant = 0
-        for index, base in enumerate(bases):
-            if page >= base:
-                tenant = index
-        return tenants[tenant].mix == "mixed"
-
-    # Hedge mirrors interleave with the primary plan by arrival time:
-    # the front end issues the insurance copy the moment it issues the
-    # primary, so the hedge shard sees both streams merged.
-    entries = sorted(
-        [(req, False) for req in plan.base.requests]
-        + [(req, True) for req in plan.hedges],
-        key=lambda entry: (entry[0].arrival_ps, entry[0].seq, entry[1]))
-
-    with use_tracer(tracer), warnings.catch_warnings():
-        # Same rationale as run_shard: the bounded trace archive
-        # overflows by design on long serves; sanitizers subscribe
-        # upstream of the drop.
-        warnings.filterwarnings("ignore", message="Tracer capacity",
-                                category=RuntimeWarning)
-        inflight: deque[int] = deque()
-        t_free = epoch
-        first_start = last_end = epoch
-        primary_index = 0
-
-        def serve_op(req: Request, page: int, start: int):
-            """One request with bounded retry and power-cut recovery.
-
-            Returns ``(status, end_ps, payload)`` with status one of
-            ``"ok"`` / ``"refused"`` / ``"failed"``.  A power cut mid
-            operation runs the battery drain and the cold mount, then
-            re-issues the interrupted request on the fresh system — the
-            admission queue empties deterministically with the power.
-            """
-            nonlocal system
-            attempts = 0
-            at = start
-            while True:
-                attempts += 1
-                try:
-                    if req.write:
-                        if tenants[req.tenant].mix == "mixed":
-                            payload = _make_record(req.tenant,
-                                                   req.version, page)
-                        else:
-                            payload = _filler(page, req.version)
-                        end = system.driver.write_page(page, payload, at)
-                        return "ok", end, payload, attempts
-                    payload, end = system.driver.read_page(page, at)
-                    return "ok", end, payload, attempts
-                except PowerLossInterrupt as exc:
-                    outcome.power_cuts += 1
-                    cut_ps = max(at, exc.time_ps)
-                    system, note = _cold_remount(system, cut_ps)
-                    outcome.remounts.append(note)
-                    inflight.clear()
-                    outcome.retries += 1
-                    at = cut_ps + _REMOUNT_PENALTY_PS
-                except MediaError as exc:
-                    # Degraded/fail-stop refusals carry a reason and
-                    # are sticky — retrying the same shard is futile.
-                    if getattr(exc, "reason", None) is not None:
-                        return "refused", at, None, attempts
-                    if not policy.allows(attempts):
-                        return "failed", at, None, attempts
-                    outcome.retries += 1
-                    at += policy.backoff_ps(attempts,
-                                            site=f"req{req.seq}")
-
-        for req, is_hedge in entries:
-            if not is_hedge:
-                while events_left and \
-                        events_left[0].at_request <= primary_index:
-                    _apply_event(system, events_left.pop(0), fault_rng)
-                primary_index += 1
-            arrival = epoch + req.arrival_ps
-            page = bases[req.tenant] + req.key
-
-            if is_hedge:
-                outcome.hedge_attempted += 1
-                status, end, payload, _ = serve_op(
-                    req, page, max(arrival, t_free))
-                if status == "ok":
-                    hedge_completed.add(req.seq)
-                    t_free = end
-                    shadow[page] = payload
-                    if tenants[req.tenant].mix == "mixed":
-                        record_pages.add(page)
-                else:
-                    outcome.hedge_refused += 1
-                continue
-
-            qos = result.tenants[req.tenant]
-            qos.offered += 1
-            while inflight and inflight[0] <= arrival:
-                inflight.popleft()
-            if len(inflight) >= plan.base.queue_bound:
-                qos.rejected += 1
-                result.rejected += 1
-                continue
-            qos.admitted += 1
-            result.admitted += 1
-            start = max(arrival, t_free)
-            status, end, payload, attempts = serve_op(req, page, start)
-            if status == "refused":
-                qos.refused += 1
-                result.refused += 1
-                refused.append(req)
-                continue
-            if status == "failed":
-                qos.failed_reads += 1
-                continue
-            if attempts > 1:
-                outcome.retry_successes += 1
-            if req.write:
-                shadow[page] = payload
-                if tenants[req.tenant].mix == "mixed":
-                    record_pages.add(page)
-            elif page in record_pages and \
-                    not _check_record(payload, page):
-                qos.integrity_failures += 1
-            t_free = end
-            inflight.append(end)
-            result.queue_peak = max(result.queue_peak, len(inflight))
-            qos.completed += 1
-            result.completed += 1
-            qos.latencies_ps.append(max(0, end - arrival))
-            result.busy_ps += max(0, end - start)
-            first_start = min(first_start, start) \
-                if result.completed > 1 else start
-            last_end = end
-        result.span_ps = max(0, last_end - first_start)
-        # Flush events scheduled past the last served ordinal (plan
-        # rounding); applying them keeps the schedule exact.
-        for event in events_left:
-            _apply_event(system, event, fault_rng)
-
-        # Evacuation-in: bulk-program the donated pages through the
-        # driver (each lands with a fresh OOB recovery stamp) and track
-        # them in the shadow so the final sweep verifies every copy.
-        t = max(t_free, epoch)
-        for page, data in plan.evac_in:
-            try:
-                t = system.driver.write_page(page, data, t)
-            except MediaError:
-                outcome.evac_in_failures += 1
-                continue
-            shadow[page] = data
-            outcome.evac_in_pages += 1
-            if region_is_records(page):
-                record_pages.add(page)
-
-        # Failover tail: requests refused elsewhere, re-placed here.
-        # They queue behind the evacuation window — the availability
-        # hit is charged honestly: latency runs from the *original*
-        # arrival the impaired shard stamped.
-        for req in plan.failover:
-            fqos = outcome.failover_tenants[req.tenant]
-            fqos.offered += 1
-            fqos.admitted += 1
-            page = bases[req.tenant] + req.key
-            arrival = epoch + req.arrival_ps
-            status, end, payload, _ = serve_op(
-                req, page, max(arrival, t))
-            if status == "refused":
-                fqos.refused += 1
-                continue
-            if status == "failed":
-                fqos.failed_reads += 1
-                continue
-            if req.write:
-                shadow[page] = payload
-                if tenants[req.tenant].mix == "mixed":
-                    record_pages.add(page)
-            elif page in record_pages and \
-                    not _check_record(payload, page):
-                fqos.integrity_failures += 1
-            t = end
-            fqos.completed += 1
-            outcome.failover_served += 1
-            fqos.latencies_ps.append(max(0, end - arrival))
-
-        # Integrity sweep — and, when this shard ended impaired, the
-        # evacuation read-out: every verified committed page doubles as
-        # the payload the routing pass hands the donor (read_only
-        # degraded reads still serve, so the sweep is the export path).
-        impaired = system.health.state >= HealthState.READ_ONLY
-        collect = plan.collect_evac and impaired
-        evac: list[tuple[int, bytes]] = []
-        for page in sorted(shadow):
-            result.sweep_pages += 1
-            try:
-                data, t = system.driver.read_page(page, t)
-            except FailStopError:
-                result.sweep_refused += 1
-                continue
-            except MediaError:
-                result.data_loss += 1
-                continue
-            if data != shadow[page]:
-                result.data_loss += 1
-                continue
-            if collect:
-                evac.append((page, data))
-        suite.detach()
-
-    result.violations = len(suite.violations)
-    monitor = system.health
-    worst = monitor.state
-    for transition in monitor.timeline:
-        worst = max(worst, HealthState[transition.to_state.upper()])
-    result.health = {
-        "state": monitor.state.label,
-        "worst": worst.label,
-        "counters": {key: monitor.counters.counts[key]
-                     for key in sorted(monitor.counters.counts)},
-        "transitions": len(monitor.timeline),
-    }
-    outcome.refused_requests = tuple(refused)
-    outcome.evac_pages = tuple(evac)
-    outcome.hedge_completed_seqs = frozenset(hedge_completed)
-    return outcome
-
-
-def _run_chaos_shard_worker(snapshot, plan, tenants) -> ChaosShardOutcome:
-    """Top-level worker so ProcessPoolExecutor can pickle the call."""
-    return run_chaos_shard(snapshot, plan, tenants)
+        seed=plan.retry_seed, site=f"chaos.shard{plan.shard}")
+    return serve_shard(
+        snapshot, plan.base, tenants, policy, events=plan.events,
+        fault_seed=zlib.crc32(f"{plan.retry_seed}:events".encode("ascii")),
+        hedges=plan.hedges, evac_in=plan.evac_in, failover=plan.failover,
+        collect_evac=plan.collect_evac)
 
 
 # -- the deterministic routing pass -------------------------------------------------
@@ -761,26 +441,6 @@ class ChaosResult:
         return chaos_payload(self)
 
 
-def _execute(plans: list[ChaosShardPlan], snapshot: SimSnapshot,
-             tenants: tuple[TenantSpec, ...],
-             config: ChaosConfig) -> list[ChaosShardOutcome]:
-    """Run chaos shard plans, serially or over worker processes."""
-    if config.jobs > 1 and len(plans) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(config.jobs, len(plans))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(_run_chaos_shard_worker, snapshot,
-                                   plan, tenants)
-                       for plan in plans]
-            return collect_fan_out(
-                futures, [plan.shard for plan in plans], pool,
-                config.worker_timeout_s)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-    return [run_chaos_shard(snapshot, plan, tenants) for plan in plans]
-
-
 def run_chaos(config: ChaosConfig | None = None,
               **overrides) -> ChaosResult:
     """One-call entry point: ``run_chaos(quick=True, shards=3)``."""
@@ -811,7 +471,8 @@ def run_chaos(config: ChaosConfig | None = None,
         ChaosShardPlan(base=base, events=events[shard],
                        retry_seed=_retry_seed(config.seed, shard))
         for shard, base in enumerate(base_plans)]
-    outcomes = _execute(pass1_plans, snapshot, tenants, config)
+    outcomes = fan_out(run_chaos_shard, snapshot, pass1_plans, tenants,
+                       config.jobs, config.worker_timeout_s)
 
     # If the hedge target itself ended impaired (not the plan, but the
     # campaign must stay honest), the insurance is void: rescued
@@ -843,8 +504,9 @@ def run_chaos(config: ChaosConfig | None = None,
         for shard in pass2_shards]
     final = list(outcomes)
     for plan, outcome in zip(pass2_plans,
-                             _execute(pass2_plans, snapshot, tenants,
-                                      config)):
+                             fan_out(run_chaos_shard, snapshot, pass2_plans,
+                                     tenants, config.jobs,
+                                     config.worker_timeout_s)):
         final[plan.shard] = outcome
 
     # Hedge-rescue join: a refused, hedged request whose mirror

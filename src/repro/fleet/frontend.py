@@ -307,27 +307,8 @@ class Fleet:
         snapshot, service_est_ps = build_prefix(
             self.tenants, config.quick, config.seed)
         plans = self.plan(service_est_ps)
-        if config.jobs > 1 and config.shards > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            workers = min(config.jobs, config.shards)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                futures = [
-                    pool.submit(_run_shard_worker, snapshot, plan,
-                                self.tenants)
-                    for plan in plans
-                ]
-                results = collect_fan_out(
-                    futures, [plan.shard for plan in plans], pool,
-                    config.worker_timeout_s)
-            finally:
-                # On the deadline path collect_fan_out already shut the
-                # pool down without joining; a plain ``with`` block
-                # would block here waiting on the stuck worker.
-                pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            results = [run_shard(snapshot, plan, self.tenants)
-                       for plan in plans]
+        results = fan_out(run_shard, snapshot, plans, self.tenants,
+                          config.jobs, config.worker_timeout_s)
         merged = [TenantQoS(spec=spec) for spec in self.tenants]
         for shard in results:
             for index, qos in enumerate(shard.tenants):
@@ -338,9 +319,29 @@ class Fleet:
             tenants=merged)
 
 
-def _run_shard_worker(snapshot, plan, tenants) -> ShardResult:
-    """Top-level worker so ProcessPoolExecutor can pickle the call."""
-    return run_shard(snapshot, plan, tenants)
+def fan_out(serve, snapshot, plans, tenants, jobs: int,
+            timeout_s: float | None) -> list:
+    """``serve(snapshot, plan, tenants)`` for every plan, in plan order.
+
+    Serial when ``jobs`` is 1 (or there is one plan), otherwise over up
+    to ``jobs`` worker processes; ``serve`` must be a top-level function
+    so the pool can pickle it.  Every worker forks the same snapshot and
+    replays its own plan, so the results do not depend on ``jobs``.
+    """
+    if jobs <= 1 or len(plans) <= 1:
+        return [serve(snapshot, plan, tenants) for plan in plans]
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(plans)))
+    try:
+        futures = [pool.submit(serve, snapshot, plan, tenants)
+                   for plan in plans]
+        return collect_fan_out(futures, [plan.shard for plan in plans],
+                               pool, timeout_s)
+    finally:
+        # On the deadline path collect_fan_out already shut the pool
+        # down without joining; a plain ``with`` block would block here
+        # waiting on the stuck worker.
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def collect_fan_out(futures, shard_ids, pool,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.stats import order_statistic
+from repro.analysis.stats import order_statistics
 from repro.fleet.tenants import TenantSLO, TenantSpec
 
 
@@ -47,13 +47,15 @@ class TenantQoS:
         return round(1_000_000 * served / self.offered)
 
     def latency_summary(self) -> dict:
-        samples = self.latencies_ps
+        # Fraction 1.0 lands on the last order statistic: the maximum.
+        p50, p99, p999, peak = order_statistics(
+            self.latencies_ps, (0.50, 0.99, 0.999, 1.0))
         return {
-            "samples": len(samples),
-            "p50_ps": order_statistic(samples, 0.50),
-            "p99_ps": order_statistic(samples, 0.99),
-            "p999_ps": order_statistic(samples, 0.999),
-            "max_ps": max(samples) if samples else 0,
+            "samples": len(self.latencies_ps),
+            "p50_ps": p50,
+            "p99_ps": p99,
+            "p999_ps": p999,
+            "max_ps": peak,
         }
 
     def slo_evaluation(self) -> dict:

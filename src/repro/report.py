@@ -161,6 +161,8 @@ def render_report(result: Any, timestamp: str | None = None) -> str:
 def write_report(result: Any, out: str) -> int:
     """Render, validate and write ``<out>/<PREFIX>_<timestamp>.json``.
 
+    Never overwrites: when a report of the same second is already there,
+    this one becomes ``<PREFIX>_<timestamp>-2.json`` (then ``-3``, ...).
     Returns 0 once written, or 2 after printing every schema problem to
     stderr — a schema bug is a tooling failure, not a gate failure, and
     nothing is written.
@@ -175,7 +177,15 @@ def write_report(result: Any, out: str) -> int:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{prefix}_{timestamp}.json"
-    path.write_text(text)
+    clash = 1
+    while True:
+        try:
+            with path.open("x") as handle:
+                handle.write(text)
+            break
+        except FileExistsError:
+            clash += 1
+            path = out_dir / f"{prefix}_{timestamp}-{clash}.json"
     print(f"wrote {path}")
     return 0
 

@@ -261,3 +261,27 @@ def test_report_compare_entry(tmp_path, capsys):
     assert compare_reports([str(first), str(second)]) == 1
     assert "schema problem" in capsys.readouterr().out
     assert compare_reports([str(first)]) == 2
+
+
+def test_write_report_never_overwrites(tmp_path, capsys, monkeypatch):
+    # Reports written within one second share a timestamp; pin it so
+    # every write below clashes with the first.
+    import repro.report
+    monkeypatch.setattr(repro.report.time, "strftime",
+                        lambda fmt: "20260101-000000")
+    result = _faults()
+    written = []
+    for _ in range(3):
+        assert write_report(result, str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("wrote ")
+        written.append(out[len("wrote "):].strip())
+    assert len(set(written)) == 3
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["FAULTS_20260101-000000-2.json",
+                     "FAULTS_20260101-000000-3.json",
+                     "FAULTS_20260101-000000.json"]
+    assert sorted(name.rsplit("/", 1)[-1] for name in written) == names
+    first = (tmp_path / "FAULTS_20260101-000000.json").read_text()
+    for name in names:
+        assert (tmp_path / name).read_text() == first

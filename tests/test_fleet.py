@@ -299,6 +299,61 @@ def test_read_only_refusals_charge_refused_counter():
     assert payload["admit_ppm"] == qos.admit_ppm
 
 
+def test_shard_results_are_pinned():
+    """Two shards, one pre-worn: every ShardResult field and per-tenant
+    QoS summary matches the digest recorded before ``fleet run`` and
+    ``fleet chaos`` shared one serve loop."""
+    import hashlib
+
+    result = run_fleet(quick=True, shards=2, requests=3000, seed=7,
+                       wear_shards=1)
+    assert result.shards[0].health["worst"] != "ok"
+    blob = json.dumps(
+        [dict(shard.to_dict(),
+              tenants=[qos.to_dict() for qos in shard.tenants])
+         for shard in result.shards], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "ccab5f3c44f8d78b6097c5a0554e782c532ac4a124281df717a426e3937a53ee"
+
+
+def test_run_shard_does_not_retry_media_errors(monkeypatch):
+    """``fleet run`` has a one-attempt budget: a read failing with a
+    MediaError that carries no refusal reason is one failed read, and
+    the read is issued exactly once."""
+    from repro.errors import MediaError
+    from repro.fleet.shard import (Request, ShardPlan, build_prefix,
+                                   run_shard, shard_seed)
+    from repro.kernel.nvdc import NvdcDriver
+
+    tenants = default_tenants(quick=True)
+    snapshot, _ = build_prefix(tenants, True, 11)
+    requests = tuple(
+        Request(seq=i, tenant=0, arrival_ps=(i + 1) * 50_000_000, key=i,
+                write=False, version=0)
+        for i in range(8))
+    failing_page = 3    # tenant 0's region starts at page 0
+    issued = []
+    read_page = NvdcDriver.read_page
+
+    def flaky_read(self, page, now_ps):
+        if page == failing_page:
+            issued.append(page)
+            raise MediaError("uncorrectable")
+        return read_page(self, page, now_ps)
+
+    monkeypatch.setattr(NvdcDriver, "read_page", flaky_read)
+    plan = ShardPlan(shard=0, seed=shard_seed(11, 0), queue_bound=64,
+                     wear=0, requests=requests)
+    result = run_shard(snapshot, plan, tenants)
+
+    assert issued == [failing_page]
+    qos = result.tenants[0]
+    assert qos.failed_reads == 1
+    assert qos.refused == result.refused == 0
+    assert qos.completed == result.completed == 7
+    assert qos.admitted == 8
+
+
 def test_collect_fan_out_deadline_names_stuck_shard():
     from concurrent.futures import Future
 
